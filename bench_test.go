@@ -220,25 +220,30 @@ func BenchmarkAblationTrim(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrateATPG measures the TestGen stand-in on its own.
+// BenchmarkSubstrateATPG measures the TestGen stand-in on its own across
+// worker-pool sizes. The test set is bit-identical at every -j (the PODEM
+// searches draw no randomness and are consumed in fault order), so the
+// sub-benchmarks differ only in wall-clock time.
 func BenchmarkSubstrateATPG(b *testing.B) {
 	for _, circuit := range []string{"s420", "s1238"} {
-		b.Run(circuit, func(b *testing.B) {
-			scan, err := bench.ScanView(circuit)
-			if err != nil {
-				b.Fatal(err)
-			}
-			faults, _, err := fault.List(scan)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := atpg.Run(scan, faults, atpg.Options{Seed: 1}); err != nil {
-					b.Fatal(err)
+		scan, err := bench.ScanView(circuit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		faults, _, err := fault.List(scan)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, d := range parallelDegrees {
+			b.Run(fmt.Sprintf("%s/%s", circuit, d.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := atpg.Run(scan, faults, atpg.Options{Seed: 1, Parallelism: d.j}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

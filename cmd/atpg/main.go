@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	atpg -circuit c880
+//	atpg -circuit c880 -j 4
 //	atpg -file mydesign.bench -o patterns.txt
 package main
 
@@ -31,7 +31,9 @@ func main() {
 		file    = flag.String("file", "", ".bench netlist file (overrides -circuit)")
 		seed    = flag.Int64("seed", 1, "random seed")
 		limit   = flag.Int("backtracks", 0, "PODEM backtrack limit (0 = default)")
-		out     = flag.String("o", "", "write patterns to this file (one binary string per line)")
+		jobs    = flag.Int("j", 0,
+			"worker goroutines for fault simulation and PODEM (0 = all processors; the test set is identical for any value)")
+		out = flag.String("o", "", "write patterns to this file (one binary string per line)")
 	)
 	flag.Parse()
 
@@ -53,7 +55,7 @@ func main() {
 	fmt.Printf("faults: %d collapsed from %d in %d equivalence classes (largest class %d)\n",
 		stats.Collapsed, stats.Total, stats.Classes, stats.MaxClass)
 
-	res, err := atpg.Run(c, faults, atpg.Options{Seed: *seed, BacktrackLimit: *limit, Context: ctx})
+	res, err := atpg.Run(c, faults, atpg.Options{Seed: *seed, BacktrackLimit: *limit, Parallelism: *jobs, Context: ctx})
 	if err != nil {
 		fail(err)
 	}
@@ -64,6 +66,8 @@ func main() {
 	fmt.Printf("detected: %d random-phase, %d deterministic; %d untestable, %d aborted\n",
 		res.Stats.RandomDetected, res.Stats.PodemDetected,
 		res.Stats.PodemUntestable, res.Stats.PodemAborted)
+	fmt.Printf("PODEM effort: %d decisions, %d backtracks, %d implications\n",
+		res.Stats.PodemDecisions, res.Stats.PodemBacktracks, res.Stats.PodemImplications)
 
 	if *out != "" {
 		f, err := os.Create(*out)

@@ -19,6 +19,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/netlist"
+	"repro/internal/parallel"
 )
 
 // Options tunes the ATPG run. The zero value selects sensible defaults.
@@ -34,14 +35,17 @@ type Options struct {
 	BacktrackLimit int
 	// SkipCompaction keeps the raw pattern list (useful for ablation).
 	SkipCompaction bool
-	// Parallelism bounds the fault-simulation worker pool used by the
-	// random, PODEM-grading and compaction phases. 1 forces serial; 0 (and
-	// any negative value) means one worker per available processor. The
-	// generated test set is bit-identical for any value (the fsim
-	// determinism guarantee; PODEM itself is single-threaded).
+	// Parallelism bounds the worker pool of every phase: fault simulation
+	// in the random, PODEM-grading and compaction phases, and the PODEM
+	// searches themselves. 1 forces serial; 0 (and any negative value)
+	// means one worker per available processor. The generated test set and
+	// every Stats counter are bit-identical for any value: fsim folds its
+	// workers' results in fault order, PODEM searches draw no randomness,
+	// and Run X-fills their input cubes and folds their counters in target
+	// order on the calling goroutine.
 	Parallelism int
 	// Context, when non-nil, cancels the run: it is checked between
-	// fault-simulation blocks (through fsim), before every PODEM target and
+	// fault-simulation blocks (through fsim), before every PODEM search and
 	// at each phase boundary. A cancelled run returns the context's error —
 	// there is no partial test set.
 	Context context.Context
@@ -73,6 +77,10 @@ type Stats struct {
 	PodemAborted             int // faults abandoned at the backtrack limit
 	PatternsBeforeCompaction int
 	GateEvals                int64 // fault-simulation effort
+	// PODEM search effort, summed over every target.
+	PodemDecisions    int64 // primary-input assignments chosen by backtrace
+	PodemBacktracks   int64 // dead ends reached
+	PodemImplications int64 // gate evaluations during event propagation
 }
 
 // Result is the outcome of an ATPG run.
@@ -193,31 +201,62 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	// batches of up to 64 (one per distinct target fault) and then fault
 	// simulated as a single block, so each deterministic pattern can drop
 	// many faults at the cost of one parallel-pattern pass.
-	gen := newPodem(c, opts.BacktrackLimit)
+	//
+	// The searches of a batch run in windows of 64−len(batch) targets on
+	// the worker pool, one podem per worker. A window never holds more
+	// targets than the batch has room for detections, so every search it
+	// runs is one the serial loop would run too. Results are consumed in
+	// target order, and only the consumer draws from rng (the X-fill of a
+	// detected target's cube), so the test set, the untestable and aborted
+	// lists and every counter match a serial run exactly.
+	workers := parallel.Degree(opts.Parallelism)
+	gens := make([]*podem, workers) // created on a worker's first search
+	var slots [64]searchResult
 	classified := make([]bool, len(faults)) // untestable or aborted
 	for len(undetected) > 0 {
 		var batch []bitvec.Vector
 		var targets []int
-		for _, fi := range undetected {
-			if len(batch) == 64 {
-				break
-			}
-			if err := ctxutil.Err(opts.Context); err != nil {
+		for pos := 0; pos < len(undetected) && len(batch) < 64; {
+			window := undetected[pos:min(pos+64-len(batch), len(undetected))]
+			pos += len(window)
+			err := parallel.ForEach(workers, len(window), func(w, i int) error {
+				if err := ctxutil.Err(opts.Context); err != nil {
+					return err
+				}
+				g := gens[w]
+				if g == nil {
+					g = newPodem(c, opts.BacktrackLimit)
+					gens[w] = g
+				}
+				r := &slots[i]
+				r.st = g.search(faults[window[i]])
+				r.eff = g.eff
+				if r.st == statusDetected {
+					r.cube = g.cube(r.cube)
+				}
+				return nil
+			})
+			if err != nil {
 				return nil, fmt.Errorf("atpg: %w", err)
 			}
-			pattern, st := gen.generate(faults[fi], rng)
-			switch st {
-			case statusUntestable:
-				res.Untestable = append(res.Untestable, fi)
-				res.Stats.PodemUntestable++
-				classified[fi] = true
-			case statusAborted:
-				res.Aborted = append(res.Aborted, fi)
-				res.Stats.PodemAborted++
-				classified[fi] = true
-			case statusDetected:
-				batch = append(batch, pattern)
-				targets = append(targets, fi)
+			for i, fi := range window {
+				r := &slots[i]
+				res.Stats.PodemDecisions += r.eff.decisions
+				res.Stats.PodemBacktracks += r.eff.backtracks
+				res.Stats.PodemImplications += r.eff.implications
+				switch r.st {
+				case statusUntestable:
+					res.Untestable = append(res.Untestable, fi)
+					res.Stats.PodemUntestable++
+					classified[fi] = true
+				case statusAborted:
+					res.Aborted = append(res.Aborted, fi)
+					res.Stats.PodemAborted++
+					classified[fi] = true
+				case statusDetected:
+					batch = append(batch, fillCube(r.cube, rng))
+					targets = append(targets, fi)
+				}
 			}
 		}
 		n := 0
@@ -288,6 +327,14 @@ func Run(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Result, error
 	}
 	res.Patterns = patterns
 	return res, nil
+}
+
+// searchResult is one PODEM target's outcome, written by the worker that
+// searched it and consumed in target order by Run.
+type searchResult struct {
+	st   status
+	cube []byte // detecting input cube (statusDetected only); buffer reused
+	eff  effort
 }
 
 func subset(faults []fault.Fault, idx []int) []fault.Fault {

@@ -1,9 +1,15 @@
 package atpg
 
 import (
+	"context"
+	"errors"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/bench"
 	"repro/internal/bitvec"
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -80,11 +86,12 @@ func TestPodemDirectOnAllC17Faults(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	sim, _ := fsim.New(c)
 	for _, f := range faults {
-		pattern, st := gen.generate(f, rng)
+		st := gen.search(f)
 		if st != statusDetected {
 			t.Errorf("PODEM failed on testable fault %s (status %d)", f.String(c), st)
 			continue
 		}
+		pattern := fillCube(gen.cube(nil), rng)
 		res, err := sim.Run([]fault.Fault{f}, []bitvec.Vector{pattern}, fsim.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -109,8 +116,7 @@ q = AND(z, b)
 	gz, _ := c.GateByName("z")
 	faults := []fault.Fault{{Gate: gz.ID, Pin: fault.OutputPin, StuckAt1: true}}
 	gen := newPodem(c, 1000)
-	rng := rand.New(rand.NewSource(1))
-	if _, st := gen.generate(faults[0], rng); st != statusUntestable {
+	if st := gen.search(faults[0]); st != statusUntestable {
 		t.Errorf("redundant fault classified %d, want untestable", st)
 	}
 
@@ -219,6 +225,59 @@ func TestDeterministicWithSeed(t *testing.T) {
 		if !r1.Patterns[i].Equal(r2.Patterns[i]) {
 			t.Fatalf("same seed produced different pattern %d", i)
 		}
+	}
+}
+
+// cancelOnNthErr is a cancellable context that cancels itself on the n-th
+// Err call, so a test can stop a run at a chosen check point.
+type cancelOnNthErr struct {
+	context.Context
+	cancel context.CancelFunc
+	calls  atomic.Int64
+	n      int64
+}
+
+func (c *cancelOnNthErr) Err() error {
+	if c.calls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// A context cancelled while PODEM searches run on several workers makes
+// Run return the context's error and no result, with every worker gone.
+func TestCancelDuringParallelPodem(t *testing.T) {
+	c, err := bench.ScanView("c880")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, _, err := fault.List(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// One 64-pattern random block (one check in fsim) leaves hundreds of
+	// PODEM targets, so the 20th check is a per-target check inside the
+	// first window of searches.
+	ctx := &cancelOnNthErr{Context: base, cancel: cancel, n: 20}
+	res, err := Run(c, faults, Options{Seed: 1, MaxRandomPatterns: 64, Parallelism: 4, Context: ctx})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run error = %v, want context.Canceled", err)
+	}
+	if res != nil {
+		t.Errorf("cancelled Run returned a result with %d patterns", len(res.Patterns))
+	}
+	if n := ctx.calls.Load(); n < 20 {
+		t.Fatalf("only %d context checks: the run ended before the cancellation point", n)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the cancelled run, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -24,10 +24,23 @@ const (
 	statusAborted
 )
 
+// effort counts the deterministic work of PODEM searches.
+type effort struct {
+	decisions    int64 // primary-input assignments chosen by backtrace
+	backtracks   int64 // dead ends reached (the backtrack limit bounds these)
+	implications int64 // gate evaluations during event propagation
+}
+
 // podem is a test generator for single stuck-at faults using the PODEM
 // algorithm: decisions are made only on primary inputs, with three-valued
 // event-driven implication of the good and faulty machines and trail-based
 // backtracking.
+//
+// A search is a pure function of the fault: every piece of state a search
+// reads is rebuilt by reset or keyed by a per-search epoch, so any podem
+// over the same circuit returns the same status, input cube and effort for
+// a fault whatever it searched before. Run relies on this to spread the
+// targets of one batch over several podems, one per worker.
 type podem struct {
 	c     *netlist.Circuit
 	order []int
@@ -60,11 +73,16 @@ type podem struct {
 	// Current fault.
 	flt      fault.Fault
 	siteGate int
-	// cone is the fanout cone of the site: the only region where the
-	// D-frontier can live. Cached per site gate because the output fault
-	// and all pin faults of a gate share it.
+	// cone is the fanout cone of the site in ascending gate ID order: the
+	// only region where the D-frontier can live and the only region where
+	// the faulty machine can differ from the good one. inCone is its
+	// membership bitmap. Both are cached per site gate because the output
+	// fault and all pin faults of a gate share them.
 	cone     []int
+	inCone   []bool
 	coneGate int
+
+	eff effort // work of the current search
 
 	faninBuf []byte
 }
@@ -96,6 +114,7 @@ func newPodem(c *netlist.Circuit, limit int) *podem {
 		xpathEpoch: make([]int32, c.NumGates()),
 		buckets:    make([][]int, c.MaxLevel()+1),
 		sched:      make([]int32, c.NumGates()),
+		inCone:     make([]bool, c.NumGates()),
 	}
 	for _, id := range c.Outputs {
 		p.isOut[id] = true
@@ -295,27 +314,37 @@ func inverts(t netlist.GateType) bool {
 	}
 }
 
-// generate attempts to produce a test pattern for the fault. Unassigned
-// inputs in the returned pattern are filled randomly from rng.
-func (p *podem) generate(f fault.Fault, rng *rand.Rand) (bitvec.Vector, status) {
+// search runs PODEM for the fault. On statusDetected the primary inputs
+// hold a detecting assignment until the next search; cube reads it out.
+// The search never draws randomness: filling the unassigned inputs is the
+// caller's step (fillCube), so searches may run in any order or
+// concurrently on separate podems without changing the test set.
+func (p *podem) search(f fault.Fault) status {
 	p.flt = f
 	p.siteGate = f.Gate
+	p.eff = effort{}
 	if p.cone == nil || p.coneGate != f.Gate {
+		for _, id := range p.cone {
+			p.inCone[id] = false
+		}
 		p.cone = p.c.FanoutCone(f.Gate)
+		for _, id := range p.cone {
+			p.inCone[id] = true
+		}
 		p.coneGate = f.Gate
 	}
 	p.reset()
 
 	var stack []decision
-	backtracks := 0
 	for {
 		if p.detected() {
-			return p.fillPattern(rng), statusDetected
+			return statusDetected
 		}
 		objGate, objVal := p.objective()
 		if objVal != vX {
 			pi, val, ok := p.backtrace(objGate, objVal)
 			if ok {
+				p.eff.decisions++
 				p.pushMarker()
 				p.assign(pi, val)
 				stack = append(stack, decision{pi: pi, value: val})
@@ -325,9 +354,9 @@ func (p *podem) generate(f fault.Fault, rng *rand.Rand) (bitvec.Vector, status) 
 		}
 		// Dead end: backtrack to the most recent decision with an untried
 		// alternative.
-		backtracks++
-		if backtracks > p.limit {
-			return bitvec.Vector{}, statusAborted
+		p.eff.backtracks++
+		if p.eff.backtracks > int64(p.limit) {
+			return statusAborted
 		}
 		flipped := false
 		for len(stack) > 0 {
@@ -344,13 +373,24 @@ func (p *podem) generate(f fault.Fault, rng *rand.Rand) (bitvec.Vector, status) 
 			}
 		}
 		if !flipped {
-			return bitvec.Vector{}, statusUntestable
+			return statusUntestable
 		}
 	}
 }
 
+// cube copies the current three-valued primary-input assignment (v0, v1 or
+// vX per input, in c.Inputs order) into dst and returns it.
+func (p *podem) cube(dst []byte) []byte {
+	dst = dst[:0]
+	for _, id := range p.c.Inputs {
+		dst = append(dst, p.gv[id])
+	}
+	return dst
+}
+
 // reset rebuilds the baseline three-valued state for the current fault: all
-// primary inputs X, constants propagated, the fault injected.
+// primary inputs X, constants propagated, the fault injected. Outside the
+// fault's fanout cone the faulty machine equals the good one.
 func (p *podem) reset() {
 	p.trail = p.trail[:0]
 	p.markers = p.markers[:0]
@@ -362,7 +402,11 @@ func (p *podem) reset() {
 		default:
 			p.gv[id] = p.evalGood(g)
 		}
-		p.fv[id] = p.evalFaulty(g)
+		if p.inCone[id] {
+			p.fv[id] = p.evalFaulty(g)
+		} else {
+			p.fv[id] = p.gv[id]
+		}
 	}
 }
 
@@ -441,11 +485,17 @@ func (p *podem) propagate(from int) {
 		if len(queue) == 0 {
 			continue
 		}
+		// Fanouts sit at higher levels, so the queue does not grow while
+		// it is drained: every gate in it is evaluated exactly once.
+		p.eff.implications += int64(len(queue))
 		for qi := 0; qi < len(queue); qi++ {
 			id := queue[qi]
 			g := p.c.Gates[id]
 			ngv := p.evalGood(g)
-			nfv := p.evalFaulty(g)
+			nfv := ngv
+			if p.inCone[id] {
+				nfv = p.evalFaulty(g)
+			}
 			if ngv == p.gv[id] && nfv == p.fv[id] {
 				continue
 			}
@@ -700,12 +750,12 @@ func (p *podem) backtrace(line int, val byte) (int, byte, bool) {
 	}
 }
 
-// fillPattern converts the current PI assignment into a pattern, filling
-// unassigned inputs randomly.
-func (p *podem) fillPattern(rng *rand.Rand) bitvec.Vector {
-	out := bitvec.New(len(p.c.Inputs))
-	for i, id := range p.c.Inputs {
-		switch p.gv[id] {
+// fillCube converts a three-valued input cube into a pattern, filling the
+// unassigned (vX) inputs randomly from rng in input order.
+func fillCube(cube []byte, rng *rand.Rand) bitvec.Vector {
+	out := bitvec.New(len(cube))
+	for i, v := range cube {
+		switch v {
 		case v1:
 			out.SetBit(i, true)
 		case v0:

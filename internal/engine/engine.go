@@ -317,6 +317,10 @@ func (e *Engine) flow(ctx context.Context, key string, atpgOpts atpg.Options,
 		}
 		asp.SetInt("patterns", int64(len(f.Patterns)))
 		asp.SetInt("target_faults", int64(len(f.TargetFaults)))
+		st := f.ATPG.Stats
+		asp.SetInt("podem_decisions", st.PodemDecisions)
+		asp.SetInt("podem_backtracks", st.PodemBacktracks)
+		asp.SetInt("podem_implications", st.PodemImplications)
 		if e.store != nil {
 			if serr := e.store.SaveFlow(key, f); serr != nil {
 				e.storeWriteErrors.Add(1)

@@ -89,6 +89,16 @@ func TestTraceSpanTreeShape(t *testing.T) {
 			t.Errorf("span %q parent = %q, want %q", child, got, parent)
 		}
 	}
+	// The atpg span counts the PODEM search, not only fault simulation.
+	atpgAttrs := make(map[string]int64)
+	for _, a := range byName["atpg"].Attrs {
+		atpgAttrs[a.Key] = a.Int
+	}
+	for _, key := range []string{"podem_decisions", "podem_backtracks", "podem_implications"} {
+		if atpgAttrs[key] <= 0 {
+			t.Errorf("atpg span %s = %d, want > 0", key, atpgAttrs[key])
+		}
+	}
 	for _, sp := range td.Spans {
 		if sp.Duration < 0 {
 			t.Errorf("span %q has negative duration %d", sp.Name, sp.Duration)
